@@ -109,7 +109,7 @@ func fleetBenchFile(batch int) string {
 }
 
 // E11 — fleet throughput: the paper-encoder fleet through the
-// zero-retention stats path, serially and on the shard-affine scheduler
+// zero-retention stats path, serially and on the engine's worker pool
 // at 1/2/4/8/16 workers. Each sub-benchmark reports ns/action and
 // allocs/action (stream setup included, so the steady-state figure is
 // bounded by BenchmarkFleetStep) and the harness writes the set — host

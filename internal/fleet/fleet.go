@@ -1,13 +1,15 @@
 // Package fleet is the concurrent multi-stream engine: it runs N
 // independent quality-managed streams — each with its own cycle clock,
-// RNG seed and workload — on a shard-affine run-to-completion
-// scheduler. Stream state lives in a struct-of-arrays StreamTable
-// (contiguous slabs of clocks, cycle counters, trace aggregates and
-// StatsSink accumulators); persistent workers own disjoint contiguous
-// shards of it, advance each stream in configurable cycle batches, and
-// only touch a shared atomic counter to steal leftover work once their
-// shard drains — there is no channel round-trip per stream-step. The
-// paper's Quality Manager was built for exactly this reuse:
+// RNG seed and workload — on one engine. A deterministic virtual-time
+// frontier admits streams (all at t = 0 for a closed fleet, along an
+// arrival process for an open one) into the slots of a struct-of-arrays
+// arena (contiguous slabs of clocks, cycle counters, trace aggregates
+// and StatsSink accumulators). One pool of persistent workers claims
+// ready slots in blocks, advances each stream in configurable cycle
+// batches, and only touches a shared atomic counter to steal leftover
+// work once its own blocks drain — there is no channel round-trip per
+// stream-step. The paper's Quality Manager was built for exactly this
+// reuse:
 // core.Manager decisions are deterministic functions of (state, time)
 // over immutable pre-computed tables (memoized further by the regions
 // DecisionPlan), so one compiled controller.Bundle can drive
@@ -43,14 +45,15 @@ type Stream struct {
 type Config struct {
 	Streams []Stream
 	// Workers bounds the persistent worker pool (≤ 0 selects
-	// GOMAXPROCS). Each worker owns a contiguous shard of the stream
-	// table and advances its streams in cycle batches; a worker whose
-	// shard drains steals leftover streams from the others. Worker
-	// count and stealing order change wall-clock time, never results.
+	// GOMAXPROCS; capped at the stream count; 1 runs inline with no
+	// goroutines). Each worker owns blocks of consecutive stream slots
+	// and advances their streams in cycle batches; a worker whose blocks
+	// drain steals leftover streams from the others. Worker count and
+	// stealing order change wall-clock time, never results.
 	Workers int
 	// BatchCycles is the number of cycles a worker advances one stream
-	// before moving on to the next in its shard (≤ 0 selects
-	// DefaultBatchCycles). Traces are independent of the batch size.
+	// per claim before releasing it (≤ 0 selects DefaultBatchCycles).
+	// Traces are independent of the batch size.
 	BatchCycles int
 	// Export, when non-nil, supplies an extra per-stream sink (e.g. a
 	// CSVWriter's per-stream sinks) that RunStats tees each stream's
@@ -58,11 +61,13 @@ type Config struct {
 	// stream. Run rejects it: retained records and streamed export are
 	// redundant — export the retained trace instead.
 	Export func(k int, name string) sim.Sink
-	// Obs, when non-nil, enables the scheduler's metric hooks (batches
-	// advanced, steals). Results are byte-identical with it on or off.
+	// Obs, when non-nil, enables the engine's metric hooks exactly as
+	// OpenConfig.Obs does: every stream counts as an arrival, an
+	// admission and a departure, plus the scheduler's batches and
+	// steals. Results are byte-identical with it on or off.
 	Obs *obs.FleetMetrics
-	// Trace, when non-nil, records scheduler events (steals) into a
-	// bounded ring.
+	// Trace, when non-nil, records lifecycle and scheduler events into
+	// the bounded ring, as OpenConfig.Trace does.
 	Trace *obs.Trace
 }
 
@@ -115,10 +120,10 @@ func (r *Result) TotalMisses() int {
 	return n
 }
 
-// Run executes every stream of the fleet on the shard-affine scheduler
-// and returns the per-stream results in input order, with full traces
-// retained. Configuration errors of individual streams are reported per
-// stream, so one bad stream does not abort the fleet.
+// Run executes every stream of the fleet and returns the per-stream
+// results in input order, with full traces retained. Configuration
+// errors of individual streams are reported per stream, so one bad
+// stream does not abort the fleet.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Export != nil {
 		return nil, errors.New("fleet: Export needs the streaming path; use RunStats")
@@ -138,20 +143,22 @@ func RunStats(cfg Config) (*Result, error) {
 	return run(cfg, true)
 }
 
-// run lays the streams out in a struct-of-arrays StreamTable, drains it
-// on the shard-affine run-to-completion scheduler, and collects the
-// results.
+// run executes the closed fleet as the open run it is: every stream
+// arrives at t = 0 under AdmitAll (TestOpenClosedEquivalence).
 func run(cfg Config, stats bool) (*Result, error) {
-	tbl, err := NewStreamTable(cfg.Streams, stats, cfg.Export)
+	res, err := openRunContinuous(OpenConfig{
+		Streams:     cfg.Streams,
+		Arrivals:    make([]core.Time, len(cfg.Streams)),
+		Workers:     cfg.Workers,
+		BatchCycles: cfg.BatchCycles,
+		Export:      cfg.Export,
+		Obs:         cfg.Obs,
+		Trace:       cfg.Trace,
+	}, stats)
 	if err != nil {
 		return nil, err
 	}
-	slots := make([]int32, tbl.Len())
-	for k := range slots {
-		slots[k] = int32(k)
-	}
-	tbl.runSlots(slots, cfg.Workers, cfg.BatchCycles, cfg.Obs, cfg.Trace)
-	return tbl.Result(), nil
+	return &Result{Streams: res.Streams}, nil
 }
 
 // DeriveSeed maps (base seed, stream index) to the stream's own seed

@@ -187,27 +187,66 @@ func TestFromBundleDeterministic(t *testing.T) {
 	}
 }
 
+// TestFleetErrors covers the closed route's configuration edges at
+// every pool shape: an empty fleet is an error, and a mix of invalid and
+// valid streams yields per-stream results equal to running each stream
+// alone through sim.Runner — in retain mode (where a caller-set sink is
+// the stream's error) and in stats mode (where it is replaced).
 func TestFleetErrors(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
-		t.Fatal("empty fleet must be rejected")
-	}
-	streams := mixedStreams(t, 3, 2, 1)
-	streams[1].Cycles = 0 // per-stream configuration error
-	res, err := Run(Config{Streams: streams, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Streams[1].Err == nil {
-		t.Fatal("bad stream must carry its error")
-	}
-	if res.Streams[0].Err != nil || res.Streams[2].Err != nil {
-		t.Fatal("healthy streams must still run")
-	}
-	if res.Err() == nil {
-		t.Fatal("Result.Err must surface the stream error")
-	}
-	if len(res.Traces()) != 2 {
-		t.Fatalf("Traces() = %d, want the 2 healthy streams", len(res.Traces()))
+	for _, workers := range []int{1, 4} {
+		if _, err := Run(Config{Workers: workers}); err == nil {
+			t.Fatalf("workers=%d: empty fleet must be rejected", workers)
+		}
+		if _, err := RunStats(Config{Workers: workers}); err == nil {
+			t.Fatalf("workers=%d: empty stats fleet must be rejected", workers)
+		}
+		streams := mixedStreams(t, 6, 2, 1)
+		streams[1].Cycles = 0 // per-stream configuration error
+		streams[3].Mgr = nil
+		streams[4].Sink = &sim.TraceSink{} // an error in retain mode only
+		res, err := Run(Config{Streams: streams, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, s := range streams {
+			got := res.Streams[k]
+			if got.Name != s.Name || got.Stats != nil {
+				t.Fatalf("workers=%d: stream %d result %+v", workers, k, got)
+			}
+			if k == 4 {
+				if got.Err == nil || got.Trace != nil {
+					t.Fatalf("workers=%d: pre-set sink must be the stream's error", workers)
+				}
+				continue
+			}
+			want, err := s.Runner.Run()
+			if !reflect.DeepEqual(got.Err, err) || !reflect.DeepEqual(got.Trace, want) {
+				t.Fatalf("workers=%d: stream %d diverges from its sim.Runner run", workers, k)
+			}
+		}
+		if res.Err() == nil {
+			t.Fatal("Result.Err must surface the stream error")
+		}
+		if len(res.Traces()) != 3 {
+			t.Fatalf("Traces() = %d, want the 3 healthy streams", len(res.Traces()))
+		}
+
+		stats, err := RunStats(Config{Streams: streams, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, s := range streams {
+			r := s.Runner
+			var sink sim.StatsSink
+			sink.Init(nil)
+			r.Sink = &sink
+			want, err := r.Run()
+			got := stats.Streams[k]
+			if !reflect.DeepEqual(got.Err, err) || !reflect.DeepEqual(got.Trace, want) ||
+				!reflect.DeepEqual(got.Stats.State(), sink.State()) {
+				t.Fatalf("workers=%d: stats stream %d diverges from its sim.Runner run", workers, k)
+			}
+		}
 	}
 }
 
@@ -276,16 +315,18 @@ func TestRunStatsEqualsRetainedAggregation(t *testing.T) {
 // stream arriving with a caller-set sink must fail per-stream instead
 // of silently dropping either the sink or the records.
 func TestRunRejectsPresetSink(t *testing.T) {
-	streams := mixedStreams(t, 2, 2, 31)
-	streams[1].Runner.Sink = &sim.TraceSink{}
-	res, err := Run(Config{Streams: streams, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Streams[0].Err != nil {
-		t.Fatal("sink-free stream must still run")
-	}
-	if res.Streams[1].Err == nil {
-		t.Fatal("stream with a pre-set sink must be rejected by Run")
+	for _, workers := range []int{1, 4} {
+		streams := mixedStreams(t, 2, 2, 31)
+		streams[1].Runner.Sink = &sim.TraceSink{}
+		res, err := Run(Config{Streams: streams, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Streams[0].Err != nil {
+			t.Fatalf("workers=%d: sink-free stream must still run", workers)
+		}
+		if res.Streams[1].Err == nil {
+			t.Fatalf("workers=%d: stream with a pre-set sink must be rejected by Run", workers)
+		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 // execution does not have to be sequenced with admission at all; the
 // frontier only needs each admitted stream's Final before it can retire
 // the stream's departure. The serial spec (OpenRunSerial) obtains the
-// Final by running every admission wave to completion — a full barrier
+// Final by running every admitted stream to completion — a full barrier
 // per event. The frontier instead tracks, for every in-flight stream, a
 // provable lower bound on its departure:
 //

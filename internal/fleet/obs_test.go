@@ -126,26 +126,34 @@ func TestOpenSerialOrderMetricsDeterministic(t *testing.T) {
 }
 
 // TestClosedObsOnOffIdentical covers the closed fleet path: Config.Obs
-// and Config.Trace must not change results, and the batch counter must
-// account for at least one batch per stream.
+// and Config.Trace must not change results, the batch counter must
+// account for at least one batch per stream, and — a closed fleet being
+// an open run with every arrival at t = 0 — the serial-order counters
+// must show every stream arrive, be admitted and depart at every shape.
 func TestClosedObsOnOffIdentical(t *testing.T) {
 	streams := mixedStreams(t, 12, 40, 43)
 	ref, err := RunStats(Config{Streams: streams, Workers: 4, BatchCycles: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, met, tr := obsBundle()
-	got, err := RunStats(Config{Streams: streams, Workers: 4, BatchCycles: 8, Obs: met, Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range ref.Streams {
-		w, g := &ref.Streams[k], &got.Streams[k]
-		if w.Name != g.Name || (w.Err == nil) != (g.Err == nil) || !reflect.DeepEqual(w.Trace, g.Trace) {
-			t.Fatalf("stream %d diverged with obs enabled", k)
+	n := int64(len(streams))
+	for _, shape := range []struct{ workers, batch int }{{1, 0}, {4, 8}, {4, 1}} {
+		_, met, tr := obsBundle()
+		got, err := RunStats(Config{Streams: streams, Workers: shape.workers, BatchCycles: shape.batch, Obs: met, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if met.Batches.Value() < int64(len(streams)) {
-		t.Fatalf("batches = %d, want at least one per stream (%d)", met.Batches.Value(), len(streams))
+		for k := range ref.Streams {
+			w, g := &ref.Streams[k], &got.Streams[k]
+			if w.Name != g.Name || (w.Err == nil) != (g.Err == nil) || !reflect.DeepEqual(w.Trace, g.Trace) {
+				t.Fatalf("%+v: stream %d diverged with obs enabled", shape, k)
+			}
+		}
+		if met.Batches.Value() < n {
+			t.Fatalf("%+v: batches = %d, want at least one per stream (%d)", shape, met.Batches.Value(), n)
+		}
+		if a, ad, d := met.Arrivals.Value(), met.Admitted.Value(), met.Departures.Value(); a != n || ad != n || d != n {
+			t.Fatalf("%+v: arrivals/admitted/departures = %d/%d/%d, want %d each", shape, a, ad, d, n)
+		}
 	}
 }

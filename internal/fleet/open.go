@@ -20,8 +20,7 @@ import (
 // Where the closed Config starts every stream at once and runs the
 // population to completion, the open form drives a virtual-time event
 // loop — streams arrive, are admitted / queued / shed, run, and depart —
-// while every admitted stream still executes on the same shard-affine
-// scheduler as a closed fleet.
+// on the same engine a closed fleet runs on.
 type OpenConfig struct {
 	// Streams is the arriving population, in arrival-process order.
 	Streams []Stream
@@ -140,8 +139,8 @@ func OpenRunStats(cfg OpenConfig) (*OpenResult, error) {
 
 // OpenRunSerial is the wave-barrier open engine kept as the executable
 // specification the continuous engine is property-tested against: a
-// serial virtual-time event loop that runs every admission wave to
-// completion on the scheduler before the next event. Results are
+// serial virtual-time event loop that runs every admitted stream to
+// completion with a plain sim.Runner before the next event. Results are
 // byte-identical to OpenRun; only wall-clock behaviour differs.
 func OpenRunSerial(cfg OpenConfig) (*OpenResult, error) {
 	return openRunSerial(cfg, false)
@@ -188,14 +187,10 @@ func (h *depHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = 
 
 // openRunSerial is the spec's virtual-time event loop. It is serial and
 // deterministic by construction — every admission decision is a pure
-// function of simulated instants — and delegates all stream execution to
-// the shard-affine scheduler in admission waves: the streams admitted at
-// one event instant are bound into (recycled) table slots, drained
-// concurrently, and harvested, which fixes their departure instants
-// before the loop advances to the next event. Concurrency therefore
-// changes wall-clock time only; a fixed arrival seed yields byte-
-// identical traces, lifecycles and admission decisions at any
-// (workers, batch).
+// function of simulated instants — and needs no scheduler: each stream
+// runs to completion through its own sim.Runner (runSpecStream) the
+// moment it is admitted, which fixes its departure instant before the
+// loop advances to the next event. It ignores the scheduler shape.
 //
 // Event ordering: at one instant, departures are retired first (ties by
 // stream index), the freed capacity is offered to the FIFO backlog, and
@@ -240,7 +235,6 @@ func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
 		return cmp.Compare(cfg.Arrivals[a], cfg.Arrivals[b])
 	})
 
-	tbl := newOpenTable(cfg.Streams, stats, cfg.Export)
 	res := &OpenResult{Streams: make([]StreamResult, n)}
 	res.Lifecycles = make([]metrics.Lifecycle, n)
 	for k := range res.Streams {
@@ -251,8 +245,6 @@ func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
 	var (
 		dep     depHeap
 		backlog []int
-		wave    []int
-		slots   []int32
 		inServe int
 		cpuLoad float64
 		lastT   = cfg.Arrivals[order[0]]
@@ -260,42 +252,27 @@ func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
 	)
 	res.FirstArrival = lastT
 
+	// admitStream runs the admitted stream to completion and schedules
+	// its departure. The heap is read only at the top of the event loop,
+	// so a departure pushed while an event group is still being decided
+	// cannot affect that group's decisions.
 	admitStream := func(k int, t core.Time) {
 		res.Lifecycles[k].Admitted = t
 		inServe++
 		cpuLoad += util[k]
-		wave = append(wave, k)
-	}
-
-	// flush executes one admission wave: bind the admitted streams into
-	// recycled slots, drain them on the scheduler, harvest, and schedule
-	// their departures. Growth happens only here, with every slot free.
-	flush := func() {
-		if len(wave) == 0 {
-			return
+		sr := runSpecStream(&cfg.Streams[k], k, stats, cfg.Export)
+		res.Streams[k] = sr
+		d := t
+		if sr.Err == nil {
+			d += sr.Trace.Final
+		} else {
+			res.Lifecycles[k].Failed = true
 		}
-		tbl.Ensure(len(wave))
-		slots = slots[:0]
-		for _, k := range wave {
-			slots = append(slots, int32(tbl.Bind(&cfg.Streams[k], k)))
+		res.Lifecycles[k].Departed = d
+		if d > lastDep {
+			lastDep = d
 		}
-		tbl.RunSlots(slots, cfg.Workers, cfg.BatchCycles)
-		for i, k := range wave {
-			sr := tbl.Harvest(int(slots[i]))
-			res.Streams[k] = sr
-			d := res.Lifecycles[k].Admitted
-			if sr.Err == nil {
-				d += sr.Trace.Final
-			} else {
-				res.Lifecycles[k].Failed = true
-			}
-			res.Lifecycles[k].Departed = d
-			if d > lastDep {
-				lastDep = d
-			}
-			heap.Push(&dep, departure{t: d, k: k})
-		}
-		wave = wave[:0]
+		heap.Push(&dep, departure{t: d, k: k})
 	}
 
 	// advanceTo integrates the backlog depth over simulated time up to
@@ -308,8 +285,7 @@ func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
 	}
 
 	ai := 0
-	for ai < n || dep.Len() > 0 || len(wave) > 0 {
-		flush()
+	for ai < n || dep.Len() > 0 {
 		tA, tD := core.TimeInf, core.TimeInf
 		if ai < n {
 			tA = cfg.Arrivals[order[ai]]
@@ -380,4 +356,30 @@ func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
 	res.End = lastT
 	res.Final = lastDep
 	return res, nil
+}
+
+// runSpecStream runs one admitted stream alone through a copy of its
+// sim.Runner — the spec's execution, with the engine's sink rules: in
+// stats mode a fresh StatsSink replaces any caller-set sink (with the
+// export tee, keyed by k, when it supplies one); in retain mode a
+// caller-set sink is the stream's error. The result is deep-equal to
+// the engine's harvest of the same stream.
+func runSpecStream(s *Stream, k int, stats bool, export func(k int, name string) sim.Sink) StreamResult {
+	sr := StreamResult{Name: s.Name}
+	r := s.Runner
+	if stats {
+		sr.Stats = new(sim.StatsSink)
+		sr.Stats.Init(nil)
+		r.Sink = sr.Stats
+		if export != nil {
+			if extra := export(k, s.Name); extra != nil {
+				r.Sink = sim.TeeSink{sr.Stats, extra}
+			}
+		}
+	} else if r.Sink != nil {
+		sr.Err = errPresetSink
+		return sr
+	}
+	sr.Trace, sr.Err = r.Run()
+	return sr
 }

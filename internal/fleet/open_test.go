@@ -14,8 +14,9 @@ import (
 
 // TestOpenClosedEquivalence is the open system's anchor property: a
 // fixed-period arrival process with every stream arriving at t = 0 under
-// admit-all is exactly the closed fleet, so the open engine must
-// reproduce the closed engine's traces byte for byte at any worker count
+// admit-all is exactly the closed fleet — the identity fleet.Run is
+// built on — so the open engine and the scheduler-free serial spec must
+// reproduce the closed fleet's traces byte for byte at any worker count
 // and batch size.
 func TestOpenClosedEquivalence(t *testing.T) {
 	streams := mixedStreams(t, 9, 4, 17)
@@ -29,6 +30,13 @@ func TestOpenClosedEquivalence(t *testing.T) {
 	times, err := arrivals.Fixed{}.Times(len(streams))
 	if err != nil {
 		t.Fatal(err)
+	}
+	spec, err := OpenRunSerial(OpenConfig{Streams: streams, Arrivals: times})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(closed.Streams, spec.Streams) {
+		t.Fatal("closed fleet diverged from the serial spec")
 	}
 	for _, shape := range []struct{ workers, batch int }{{1, 0}, {2, 1}, {4, 32}, {8, 3}} {
 		open, err := OpenRun(OpenConfig{

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/arrivals"
 	"repro/internal/core"
@@ -175,9 +177,9 @@ func TestOpenLookaheadWindowEquivalence(t *testing.T) {
 }
 
 // TestOpenWorkerExtremesStress covers the pool-shape extremes the
-// striped claim and the ring harvest must both survive (run under
-// -race in CI): workers ≫ streams (most workers never own a stripe
-// slot and live off steals and parks) and streams ≫ workers (every
+// block claim and the ring harvest must both survive (run under
+// -race in CI): workers ≫ streams (most workers never own a claim
+// block and live off steals and parks) and streams ≫ workers (every
 // ring turns over many times). Both compare to the serial spec.
 func TestOpenWorkerExtremesStress(t *testing.T) {
 	cases := []struct {
@@ -211,5 +213,62 @@ func TestOpenWorkerExtremesStress(t *testing.T) {
 				compareOpen(t, tc.name, ref, got)
 			}
 		})
+	}
+}
+
+// TestOpenDrainLostWakeup pins the blocking drain against the lost
+// wakeup. drainWindow holds the window between the frontier's empty
+// ring walk and its re-lock open until every worker has parked for want
+// of work — so each completion was published, and its signal sent,
+// while no frontier was waiting. A drain that went to sleep on the
+// signal alone would never wake again; it must see the full rings
+// after re-locking. A watchdog turns the hang into a failure.
+func TestOpenDrainLostWakeup(t *testing.T) {
+	fired := 0
+	drainWindow = func(s *openSched) {
+		fired++
+		for {
+			s.mu.Lock()
+			idle := s.parked == s.workers
+			s.mu.Unlock()
+			if idle {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	t.Cleanup(func() { drainWindow = nil })
+
+	const n = 8
+	streams := mixedStreams(t, n, 6, 89)
+	times, err := arrivals.Poisson{MeanGap: 5 * core.Millisecond, Seed: 41}.Times(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := OpenConfig{Streams: streams, Arrivals: times, Admit: CapK{K: 3, Queue: -1}}
+	ref, err := OpenRunStatsSerial(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := base
+	cfg.Workers, cfg.BatchCycles = 2, 1
+	done := make(chan *OpenResult)
+	go func() {
+		got, err := OpenRunStats(cfg)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- got
+	}()
+	select {
+	case got := <-done:
+		if got != nil {
+			compareOpen(t, "held drain window", ref, got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("frontier still blocked in drain over published completions: lost wakeup")
+	}
+	if fired == 0 {
+		t.Fatal("no blocking drain walked empty rings; the window was never exercised")
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // hetStreams builds a fleet with deliberately unequal stream lengths so
-// shard durations are skewed and the steal path actually fires: the
+// claim-block durations are skewed and the steal path actually fires: the
 // longest stream is ~an order of magnitude longer than the shortest.
 func hetStreams(t *testing.T, n int, baseSeed uint64) []Stream {
 	t.Helper()
@@ -75,8 +75,8 @@ func TestQuickFleetInvariantAcrossWorkersAndBatches(t *testing.T) {
 }
 
 // TestFleetWorkStealing oversubscribes the pool with heterogeneous
-// stream lengths (streams ≫ workers, shard durations skewed ~10×) so
-// drained workers must steal from loaded shards mid-run; under -race
+// stream lengths (streams ≫ workers, block durations skewed ~10×) so
+// drained workers must steal from loaded blocks mid-run; under -race
 // this is the scheduler's hand-off correctness check. Batch 1 maximises
 // the number of claim/release transitions.
 func TestFleetWorkStealing(t *testing.T) {
@@ -103,15 +103,13 @@ func TestFleetWorkStealing(t *testing.T) {
 }
 
 // TestStreamTableSoALayout: the mutable state the workers sweep must
-// actually live in the table's contiguous slabs — adjacent streams'
-// states and sinks at fixed strides — or the cache-affinity argument is
+// actually live in a chunk's contiguous slabs — adjacent slots' states
+// and sinks at fixed strides — or the cache-affinity argument is
 // fiction.
 func TestStreamTableSoALayout(t *testing.T) {
 	streams := hetStreams(t, 8, 3)
-	tbl, err := NewStreamTable(streams, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	levels := streams[0].Runner.Sys.NumLevels()
+	tbl := newChunk(8, true, nil, levels)
 	if tbl.Len() != 8 {
 		t.Fatalf("table length %d", tbl.Len())
 	}
@@ -121,11 +119,17 @@ func TestStreamTableSoALayout(t *testing.T) {
 		}
 	}
 	// Histogram windows: contiguous partition of one backing slab.
-	levels := streams[0].Runner.Sys.NumLevels()
 	if len(tbl.hist) != 8*levels {
 		t.Fatalf("hist slab has %d cells, want %d", len(tbl.hist), 8*levels)
 	}
-	tbl.Run(2, 4)
+	for k := range streams {
+		tbl.BindSlot(k, &streams[k], k)
+		if tbl.errs[k] != nil {
+			t.Fatal(tbl.errs[k])
+		}
+		for !advance(&tbl.streams[k], 4) {
+		}
+	}
 	for k := 0; k < 8; k++ {
 		total := 0
 		for _, c := range tbl.hist[k*levels : (k+1)*levels] {
@@ -142,9 +146,11 @@ func TestStreamTableSoALayout(t *testing.T) {
 // loud, not silent.
 func TestRunRejectsExport(t *testing.T) {
 	streams := hetStreams(t, 2, 1)
-	_, err := Run(Config{Streams: streams, Export: func(int, string) sim.Sink { return nil }})
-	if err == nil {
-		t.Fatal("Run must reject Config.Export")
+	for _, workers := range []int{1, 4} {
+		_, err := Run(Config{Streams: streams, Workers: workers, Export: func(int, string) sim.Sink { return nil }})
+		if err == nil {
+			t.Fatalf("workers=%d: Run must reject Config.Export", workers)
+		}
 	}
 }
 

@@ -7,174 +7,70 @@ import (
 	"repro/internal/sim"
 )
 
-// StreamTable is the fleet's struct-of-arrays stream store: the mutable
-// per-stream simulation state — clocks and cycle counters (sim.State),
-// trace aggregates (sim.Trace), and in stats mode the StatsSink
-// accumulators and their histograms — lives in contiguous slabs, one
-// entry per stream, instead of N individually heap-allocated objects.
-// A worker sweeping its shard in cycle batches therefore walks arrays
-// in index order and stays in cache; the sim.Stream views in the table
-// are exactly the serial runner's streams, pointed at the slabs, so the
-// SoA layout changes memory behaviour, never results.
+// StreamTable is one chunk of the slot arena's struct-of-arrays store:
+// the mutable per-stream simulation state — clocks and cycle counters
+// (sim.State), trace aggregates (sim.Trace), and in stats mode the
+// StatsSink accumulators and their histograms — lives in contiguous
+// slabs, one entry per slot, instead of N individually heap-allocated
+// objects. A worker sweeping its claim blocks therefore walks arrays in
+// index order and stays in cache; the sim.Stream views in the table are
+// exactly the serial runner's streams, pointed at the slabs, so the SoA
+// layout changes memory behaviour, never results.
 type StreamTable struct {
 	names   []string
-	runners []sim.Runner    // per-stream runner configs (copies; sinks rewritten)
+	runners []sim.Runner    // per-slot runner configs (copies; sinks rewritten)
 	streams []sim.Stream    // views over the slabs below; invalid where errs[k] != nil
 	states  []sim.State     // hot scalars: clock + cycle counter
 	traces  []sim.Trace     // scalar aggregates (and records in retain mode)
 	sinks   []sim.StatsSink // stats mode only; len 0 in retain mode
 	hist    []int           // shared backing slab for the sink histograms
-	errs    []error         // per-stream configuration errors
+	errs    []error         // per-slot configuration errors
 
-	// Open-table state (newOpenTable only; zero for closed tables). An
-	// open table's slot count is decoupled from its stream population:
-	// slots are bound at admission, drained by the scheduler, harvested
-	// at departure and recycled for the next admission wave, so the
-	// slab footprint is the peak concurrency, not the total number of
-	// streams that ever pass through the system.
 	stats     bool
 	export    func(k int, name string) sim.Sink
-	maxLevels int   // uniform per-slot histogram window width
-	free      []int // recycled slot stack
-	bound     int   // currently bound slots
+	maxLevels int // uniform per-slot histogram window width
 }
 
-// NewStreamTable validates and lays out the given streams. stats
-// selects the zero-retention shape: every stream gets a StatsSink from
-// the table's contiguous sink slab (replacing any caller-set sink) with
-// its histogram window in one shared int slab. In retain mode streams
-// keep full traces and a caller-set Runner.Sink is a per-stream error,
-// exactly as fleet.Run has always enforced. export, when non-nil,
-// supplies an extra per-stream sink that records are teed into (stats
-// mode only).
-//
-// Configuration errors of individual streams are recorded per stream —
-// one bad stream does not abort the fleet.
-func NewStreamTable(streams []Stream, stats bool, export func(k int, name string) sim.Sink) (*StreamTable, error) {
-	n := len(streams)
-	if n == 0 {
-		return nil, errors.New("fleet: no streams")
-	}
+// errPresetSink rejects a caller-set Runner.Sink in retain mode: Run's
+// contract is retained traces, and a caller-set sink would leave
+// Trace.Records empty so downstream aggregation would silently read
+// zeroes.
+var errPresetSink = errors.New("fleet: stream has a Runner.Sink; Run retains traces — use RunStats for sink-based runs")
+
+// newChunk lays out a table of size slots. stats selects the
+// zero-retention shape: every slot gets a StatsSink from the table's
+// contiguous sink slab with a histogram window of maxLevels cells in one
+// shared int slab. export, when non-nil, supplies an extra per-stream
+// sink that records are teed into (stats mode only).
+func newChunk(size int, stats bool, export func(k int, name string) sim.Sink, maxLevels int) *StreamTable {
 	tbl := &StreamTable{
-		names:   make([]string, n),
-		runners: make([]sim.Runner, n),
-		streams: make([]sim.Stream, n),
-		states:  make([]sim.State, n),
-		traces:  make([]sim.Trace, n),
-		errs:    make([]error, n),
+		names:     make([]string, size),
+		runners:   make([]sim.Runner, size),
+		streams:   make([]sim.Stream, size),
+		states:    make([]sim.State, size),
+		traces:    make([]sim.Trace, size),
+		errs:      make([]error, size),
+		stats:     stats,
+		export:    export,
+		maxLevels: maxLevels,
 	}
 	if stats {
-		tbl.sinks = make([]sim.StatsSink, n)
-		// One histogram slab, one full-capacity window per stream.
-		offs := make([]int, n+1)
-		for k, s := range streams {
-			levels := 0
-			if s.Runner.Sys != nil {
-				levels = s.Runner.Sys.NumLevels()
-			}
-			offs[k+1] = offs[k] + levels
-		}
-		tbl.hist = make([]int, offs[n])
-		for k := range streams {
-			tbl.sinks[k].Init(tbl.hist[offs[k]:offs[k]:offs[k+1]])
-		}
-	}
-	for k := range streams {
-		s := &streams[k]
-		tbl.names[k] = s.Name
-		r := &tbl.runners[k]
-		*r = s.Runner // copy: the table must not mutate the caller's config
-		if stats {
-			var sink sim.Sink = &tbl.sinks[k]
-			if export != nil {
-				if extra := export(k, s.Name); extra != nil {
-					sink = sim.TeeSink{&tbl.sinks[k], extra}
-				}
-			}
-			r.Sink = sink
-		} else if r.Sink != nil {
-			// Run's contract is retained traces; a caller-set sink would
-			// leave Trace.Records empty and downstream aggregation would
-			// silently read zeroes.
-			tbl.errs[k] = errors.New("fleet: stream has a Runner.Sink; Run retains traces — use RunStats for sink-based runs")
-			continue
-		}
-		tbl.errs[k] = r.InitStream(&tbl.streams[k], &tbl.states[k], &tbl.traces[k])
-	}
-	return tbl, nil
-}
-
-// newOpenTable lays out an empty slot table for an open-system run over
-// the given stream population. No slabs are allocated up front: Ensure
-// grows them to the peak admission-wave size, Bind and Harvest recycle
-// slots as streams enter and leave service. stats and export have the
-// same meaning as in NewStreamTable; the histogram slab gives every slot
-// a uniform window wide enough for any stream in the population.
-func newOpenTable(streams []Stream, stats bool, export func(k int, name string) sim.Sink) *StreamTable {
-	tbl := &StreamTable{stats: stats, export: export}
-	if stats {
-		for k := range streams {
-			if sys := streams[k].Runner.Sys; sys != nil && sys.NumLevels() > tbl.maxLevels {
-				tbl.maxLevels = sys.NumLevels()
-			}
-		}
+		tbl.sinks = make([]sim.StatsSink, size)
+		tbl.hist = make([]int, size*maxLevels)
 	}
 	return tbl
 }
 
-// Ensure grows the table to at least c slots. Growth reallocates the
-// slabs, which would invalidate the stream views of bound slots — the
-// open loop only grows between admission waves, when every slot has
-// been harvested, and Ensure enforces that invariant.
-func (tbl *StreamTable) Ensure(c int) {
-	if c <= len(tbl.streams) {
-		return
-	}
-	if tbl.bound != 0 {
-		panic("fleet: growing an open table with bound slots")
-	}
-	tbl.names = make([]string, c)
-	tbl.runners = make([]sim.Runner, c)
-	tbl.streams = make([]sim.Stream, c)
-	tbl.states = make([]sim.State, c)
-	tbl.traces = make([]sim.Trace, c)
-	tbl.errs = make([]error, c)
-	if tbl.stats {
-		tbl.sinks = make([]sim.StatsSink, c)
-		tbl.hist = make([]int, c*tbl.maxLevels)
-	}
-	tbl.free = tbl.free[:0]
-	for slot := c - 1; slot >= 0; slot-- {
-		tbl.free = append(tbl.free, slot)
-	}
-}
-
-// Bind claims a free slot for the stream (Ensure must have provided
-// capacity) and initialises its views over the slabs, exactly as
-// NewStreamTable does for a closed fleet: in stats mode the slot's
-// StatsSink gets its histogram window of the shared slab (plus any
-// export tee, keyed by the stream's index k in the open population); in
+// BindSlot initialises the given slot for the stream: in stats mode the
+// slot's StatsSink gets its histogram window of the shared slab (plus
+// any export tee, keyed by the stream's index k in the population); in
 // retain mode a caller-set sink is a per-slot error. Configuration
 // errors are recorded in the slot, not returned — the stream still
 // occupies it until harvested, so one bad stream cannot derail the run.
-func (tbl *StreamTable) Bind(s *Stream, k int) int {
-	if len(tbl.free) == 0 {
-		panic("fleet: Bind without a free slot; call Ensure first")
-	}
-	slot := tbl.free[len(tbl.free)-1]
-	tbl.free = tbl.free[:len(tbl.free)-1]
-	tbl.bound++
-	tbl.BindSlot(slot, s, k)
-	return slot
-}
-
-// BindSlot initialises the given slot for the stream without touching
-// the table's own free-slot bookkeeping — the binding core shared by
-// Bind and the continuous engine's openArena, which manages slot
-// recycling across several chunk tables itself. The slot must not be
-// bound or mid-execution. It never allocates on the stats path without
-// an export sink, which is what keeps the continuous open engine's
-// steady state allocation-free.
+// The slot must not be bound or mid-execution; the openArena recycles
+// slots across its chunk tables. BindSlot never allocates on the stats
+// path without an export sink, which is what keeps the engine's steady
+// state allocation-free.
 func (tbl *StreamTable) BindSlot(slot int, s *Stream, k int) {
 	tbl.names[slot] = s.Name
 	tbl.runners[slot] = s.Runner
@@ -190,41 +86,18 @@ func (tbl *StreamTable) BindSlot(slot int, s *Stream, k int) {
 		}
 		r.Sink = sink
 	} else if r.Sink != nil {
-		tbl.errs[slot] = errors.New("fleet: stream has a Runner.Sink; Run retains traces — use RunStats for sink-based runs")
+		tbl.errs[slot] = errPresetSink
 		return
 	}
 	tbl.errs[slot] = r.InitStream(&tbl.streams[slot], &tbl.states[slot], &tbl.traces[slot])
 }
 
-// Harvest copies the slot's outcome out of the slabs (the same deep-copy
-// discipline as Result) and recycles the slot for the next admission
-// wave.
-func (tbl *StreamTable) Harvest(slot int) StreamResult {
-	sr := StreamResult{Name: tbl.names[slot], Err: tbl.errs[slot]}
-	if tbl.sinks != nil {
-		s := tbl.sinks[slot]
-		s.QualityHist = append([]int(nil), s.QualityHist...)
-		sr.Stats = &s
-	}
-	if sr.Err == nil {
-		tr := tbl.traces[slot]
-		sr.Trace = &tr
-	}
-	tbl.errs[slot] = nil
-	tbl.free = append(tbl.free, slot)
-	tbl.bound--
-	return sr
-}
-
-// HarvestSlot is the allocation-free form of Harvest: the slot's outcome
-// is copied into caller-owned result cells — trOut for the scalar trace,
-// and in stats mode sinkOut plus a histogram window histOut of at least
-// the table's level width — instead of freshly allocated ones. The copy
-// discipline is identical to Harvest (the result aliases nothing in the
-// slabs; a zero-length histogram copies to nil exactly as Harvest's
-// append does), so results of the two forms are deep-equal. Free-slot
-// bookkeeping is the caller's: the continuous engine's openArena
-// recycles slots across chunk tables itself.
+// HarvestSlot copies the slot's outcome into caller-owned result cells
+// — trOut for the scalar trace, and in stats mode sinkOut plus a
+// histogram window histOut of at least the table's level width — so the
+// result aliases nothing in the slabs and harvesting allocates nothing.
+// A zero-length histogram copies to nil. Free-slot bookkeeping is the
+// caller's: the openArena recycles slots across chunk tables itself.
 func (tbl *StreamTable) HarvestSlot(slot int, sr *StreamResult, trOut *sim.Trace, sinkOut *sim.StatsSink, histOut []int) {
 	sr.Name = tbl.names[slot]
 	sr.Err = tbl.errs[slot]
@@ -246,9 +119,8 @@ func (tbl *StreamTable) HarvestSlot(slot int, sr *StreamResult, trOut *sim.Trace
 	tbl.errs[slot] = nil
 }
 
-// Per-slot scheduler states of the continuous open engine (openArena
-// slots; distinct from the closed scheduler's per-stream states, whose
-// lifecycle has no empty/harvest phases). The frontier moves a slot
+// Per-slot scheduler states of the engine's openArena slots. The
+// frontier moves a slot
 // empty → ready at Bind and done → empty at harvest; workers move it
 // ready → claimed → ready once per batch and store done when the
 // stream completes. Every transition goes through the slot's atomic
@@ -264,16 +136,15 @@ const (
 // cacheLine is the padding unit for the engine's worker-shared hot
 // words. 64 bytes covers every amd64/arm64 part the engine targets;
 // on parts with 128-byte prefetch pairs the residual sharing is
-// between neighbours only, not the whole stripe.
+// between neighbours only, not a whole claim block.
 const cacheLine = 64
 
-// slotWord is one slot's scheduler status on its own cache line. The
-// status array is scanned stripe-wise — worker w claims slots ≡ w mod
-// workers — so with packed words sixteen workers' CAS traffic would
-// land on each 64-byte line and every claim would ping-pong the line
-// across cores. One word per line trades 60 bytes of padding per slot
-// (slot count is peak concurrency, not population) for contention-free
-// stripe sweeps.
+// slotWord is one slot's scheduler status on its own cache line. With
+// packed words two workers' claim blocks would share every 64-byte
+// line, and each steal sweep reads them all, so every claim would
+// ping-pong the line across cores. One word per line trades 60 bytes of
+// padding per slot (slot count is peak concurrency, not population) for
+// contention-free sweeps.
 type slotWord struct {
 	// v is the slot's lifecycle word, shared between the frontier and
 	// the workers.
@@ -282,14 +153,13 @@ type slotWord struct {
 	_ [cacheLine - 4]byte
 }
 
-// openArena is the continuous open engine's slot store: a set of
-// fixed-size StreamTable chunks plus flat slot-indirection arrays. The
-// closed-table growth rule (Ensure only with every slot free) cannot
-// hold in a wave-free engine — streams are always mid-flight — so the
-// arena never reallocates a slab: growth appends a fresh chunk, and the
-// views of bound slots stay valid with no quiesce barrier. The heavy
-// per-slot slabs (runners, states, traces, sinks, histograms) therefore
-// still track peak concurrency, not the population; only the flat
+// openArena is the engine's slot store: a set of fixed-size StreamTable
+// chunks plus flat slot-indirection arrays. Streams are always
+// mid-flight in a wave-free engine, so the arena never reallocates a
+// slab: growth appends a fresh chunk, and the views of bound slots stay
+// valid with no quiesce barrier. The heavy per-slot slabs (runners,
+// states, traces, sinks, histograms) track peak concurrency, not the
+// population; only the flat
 // indirection arrays (a pointer and a few words per slot) are
 // pre-sized to the population bound so workers can scan them without
 // ever racing a reallocation.
@@ -428,9 +298,7 @@ func (a *openArena) grow() {
 	if size <= 0 {
 		panic("fleet: open arena over population capacity")
 	}
-	c := &StreamTable{stats: a.stats, export: a.export, maxLevels: a.maxLevels}
-	c.Ensure(size)
-	c.free = nil // the arena recycles slots itself
+	c := newChunk(size, a.stats, a.export, a.maxLevels)
 	a.chunks = append(a.chunks, c)
 	for i := 0; i < size; i++ {
 		a.register(total+i, c, i)
@@ -465,37 +333,5 @@ func (a *openArena) err(slot int32) error {
 	return a.slotTbl[slot].errs[a.slotIdx[slot]]
 }
 
-// Len returns the stream count.
+// Len returns the slot count.
 func (tbl *StreamTable) Len() int { return len(tbl.streams) }
-
-// Stream returns the k-th stream view, or nil when the stream's
-// configuration was rejected.
-func (tbl *StreamTable) Stream(k int) *sim.Stream {
-	if tbl.errs[k] != nil {
-		return nil
-	}
-	return &tbl.streams[k]
-}
-
-// Result assembles the per-stream outcomes in input order. Traces and
-// stats are copied out of the table's slabs (record slices and
-// histograms carry over; histograms are re-backed per stream), so a
-// caller keeping one stream's result does not pin every stream's state
-// for its lifetime.
-func (tbl *StreamTable) Result() *Result {
-	res := &Result{Streams: make([]StreamResult, tbl.Len())}
-	for k := range res.Streams {
-		sr := StreamResult{Name: tbl.names[k], Err: tbl.errs[k]}
-		if tbl.sinks != nil {
-			s := tbl.sinks[k]
-			s.QualityHist = append([]int(nil), s.QualityHist...)
-			sr.Stats = &s
-		}
-		if sr.Err == nil {
-			tr := tbl.traces[k]
-			sr.Trace = &tr
-		}
-		res.Streams[k] = sr
-	}
-	return res
-}

@@ -19,8 +19,8 @@ type FleetDoc struct {
 	Mode    string `json:"mode"`
 	Streams int    `json:"streams"`
 	// Workers is the configured scheduler width (the -workers cap, 0
-	// resolved to GOMAXPROCS), not a concurrency measurement: an open
-	// run executes admission waves that may each use fewer workers.
+	// resolved to GOMAXPROCS), not a concurrency measurement: a run
+	// may keep fewer streams in flight than workers.
 	// Results never depend on it either way.
 	Workers     int    `json:"workers"`
 	BatchCycles int    `json:"batch_cycles"`

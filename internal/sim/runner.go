@@ -113,8 +113,8 @@ func (r *Runner) Run() (*Trace, error) {
 // besides the trace aggregates. It is split out of Stream so a fleet
 // engine can keep the states of many streams in one contiguous
 // struct-of-arrays slab (see fleet.StreamTable) and a worker sweeping
-// its shard stays in cache instead of pointer-chasing heap objects; a
-// stand-alone Stream simply embeds its own.
+// its claim blocks stays in cache instead of pointer-chasing heap
+// objects; a stand-alone Stream simply embeds its own.
 type State struct {
 	// T is the stream's virtual clock.
 	T core.Time
