@@ -44,7 +44,7 @@ func BenchmarkFleetStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !st.Step() { // steady state: lazy decision-plan build happens here, untimed
+	if !st.Step() { // warm-up step, untimed
 		b.Fatal("stream exhausted during warm-up")
 	}
 	b.ReportAllocs()
@@ -113,10 +113,7 @@ func fleetBenchFile(batch int) string {
 // at 1/2/4/8/16 workers. Each sub-benchmark reports ns/action and
 // allocs/action (stream setup included, so the steady-state figure is
 // bounded by BenchmarkFleetStep) and the harness writes the set — host
-// shape and batch size included — to BENCH_fleet.json. The
-// serial-uncached row runs the table-probing manager with the
-// regions.DecisionPlan bypassed, so the plan cache's contribution is
-// the serial-uncached → serial delta, separate from the scheduler's.
+// shape and batch size included — to BENCH_fleet.json.
 // NB: single-core hosts only show scheduling overhead across worker
 // counts.
 func BenchmarkFleetThroughput(b *testing.B) {
@@ -127,7 +124,6 @@ func BenchmarkFleetThroughput(b *testing.B) {
 	// beyond workers=8 a duplicate).
 	const streams = 32
 	batch := fleetBenchBatch(b)
-	s.Relaxed().Decide(0, 0) // build the shared decision plan outside the timed regions
 	actionsPerOp := streams * s.Cycles * s.Sys.NumActions()
 	var order []string
 	byName := map[string]fleetBenchRow{}
@@ -188,7 +184,6 @@ func BenchmarkFleetThroughput(b *testing.B) {
 		}
 	}
 	measure("serial", 0, 0, serialLoop(func() ([]fleet.Stream, error) { return s.FleetStreams(1, streams) }))
-	measure("serial-uncached", 0, 0, serialLoop(func() ([]fleet.Stream, error) { return s.FleetStreamsUncached(1, streams) }))
 	for _, w := range []int{1, 2, 4, 8, 16} {
 		w := w
 		measure(fmt.Sprintf("fleet-workers=%d", w), w, batch, func() error {
@@ -231,7 +226,6 @@ func BenchmarkFleetCluster(b *testing.B) {
 	batch := fleetBenchBatch(b)
 	large := experiment.Paper(1)
 	large.Cycles = 4
-	large.Relaxed().Decide(0, 0) // build the shared decision plan outside the timed region
 	const streams = 64
 	proc := arrivals.Poisson{MeanGap: large.Period / 8, Seed: 11}
 	times, err := proc.Times(streams)
@@ -440,7 +434,6 @@ func BenchmarkFleetOpen(b *testing.B) {
 	// Small family: sparse arrivals, 8 streams — the engine-overhead rows.
 	small := experiment.Paper(1)
 	small.Cycles = 2
-	small.Relaxed().Decide(0, 0) // build the shared decision plan outside the timed region
 	const smallStreams = 8
 	smallProc := arrivals.Poisson{MeanGap: small.Period, Seed: 7}
 	smallTimes, err := smallProc.Times(smallStreams)
@@ -476,7 +469,6 @@ func BenchmarkFleetOpen(b *testing.B) {
 	// parallelism is the dominant term, not admission serialization.
 	large := experiment.Paper(1)
 	large.Cycles = 4
-	large.Relaxed().Decide(0, 0)
 	const largeStreams = 64
 	largeProc := arrivals.Poisson{MeanGap: large.Period / 8, Seed: 11}
 	largeTimes, err := largeProc.Times(largeStreams)

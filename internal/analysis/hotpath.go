@@ -6,8 +6,9 @@ import (
 )
 
 // HotPathAlloc enforces the 0-allocs/op contract on functions annotated
-// //detlint:hotpath (steady-state Stream.Step, StatsSink.Observe,
-// DecisionPlan.Decide, the openSched claim loop, the frontier heaps).
+// //detlint:hotpath (steady-state Stream.Step, StatsSink.Observe, the
+// table managers' Decide with TDTable.Choose and RelaxTables.Steps, the
+// openSched claim loop, the frontier heaps).
 // Inside an annotated function it flags the constructs that reach the
 // heap: fmt calls, append, make/new, closures that capture variables,
 // and interface boxing of non-pointer values. The check is per-function

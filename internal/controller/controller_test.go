@@ -157,6 +157,63 @@ func TestBundleHashStableAcrossReload(t *testing.T) {
 	}
 }
 
+// TestBundleWireGolden pins the serialized bytes of two fixed compiled
+// bundles by their Hash and length. The golden values were computed with
+// the relaxation tables still stored as nested [level][rho][state] rows,
+// before the payload became one [state][level][rho] slab, so the test
+// proves the re-layout left the wire format, and with it every bundle
+// hash a checkpoint records, unchanged.
+func TestBundleWireGolden(t *testing.T) {
+	random := core.RandomSystem(rand.New(rand.NewSource(7)), core.RandomSystemConfig{Actions: 200, Levels: 6, DeadlineEvery: 9})
+	for _, c := range []struct {
+		name string
+		spec Spec
+		hash uint64
+		size int
+	}{
+		{"valid", validSpec(), 0x7bb4ab46ae161ab5, 5118},
+		{"random", SpecFromSystem("random", random, []int{1, 4, 9, 20}), 0x615cc9bbb545f7e4, 106630},
+	} {
+		b, err := Compile(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := b.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		h, err := b.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h != c.hash || buf.Len() != c.size {
+			t.Errorf("%s: hash %016x, %d bytes; golden %016x, %d bytes", c.name, h, buf.Len(), c.hash, c.size)
+		}
+	}
+}
+
+// TestLoadRejectsBadRelaxationSteps: a bundle whose relaxation payload
+// carries a step set the compiler would refuse (here a zero step, which
+// would let the relaxed manager grant Steps = 0) must not load.
+func TestLoadRejectsBadRelaxationSteps(t *testing.T) {
+	b, err := Compile(validSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const good = `"rho":[1,3,6],"upper"`
+	if !strings.Contains(buf.String(), good) {
+		t.Fatalf("fixture lacks %s", good)
+	}
+	mangled := strings.Replace(buf.String(), good, `"rho":[0,3,6],"upper"`, 1)
+	if _, err := Load(strings.NewReader(mangled)); err == nil || !strings.Contains(err.Error(), "relaxation tables") {
+		t.Fatalf("zero relaxation step: err = %v", err)
+	}
+}
+
 // TestReloadedBundleSwapIsNoOp: the hot-swap property at the stream
 // level. A stream bound against a reloaded copy of the same bundle
 // produces a byte-identical trace to one bound against the original —

@@ -31,6 +31,9 @@ func FuzzLoadBundle(f *testing.F) {
 	f.Add(bytes.Replace(whole, []byte(`:`), []byte(`:-`), 1))
 	f.Add([]byte(`{"spec":{"levels":2,"actions":[{"av":[1,2],"wc":[1,2],"deadline":9}]},"tables":{},"relax":{}}`))
 	f.Add([]byte("not json"))
+	// Well-formed, but the relaxation payload carries a zero step: the
+	// loader must refuse the step set BuildRelaxTables would refuse.
+	f.Add(bytes.Replace(whole, []byte(`"rho":[1,3,6],"upper"`), []byte(`"rho":[0,3,6],"upper"`), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := Load(bytes.NewReader(data))

@@ -51,23 +51,6 @@ func (s *Setup) FleetStreams(seed uint64, n int) ([]fleet.Stream, error) {
 	return streams, nil
 }
 
-// FleetStreamsUncached is FleetStreams with every stream driven by the
-// uncached relaxed manager — the table-probing path that bypasses the
-// regions.DecisionPlan memo. Traces are byte-identical to FleetStreams
-// runs (the plan preserves Work accounting exactly); only the decision
-// cost differs, which is what lets the throughput benchmarks account
-// for the plan cache separately.
-func (s *Setup) FleetStreamsUncached(seed uint64, n int) ([]fleet.Stream, error) {
-	streams, err := s.FleetStreams(seed, n)
-	if err != nil {
-		return nil, err
-	}
-	for k := range streams {
-		streams[k].Runner.Mgr = regions.NewRelaxedManagerUncached(s.Relax)
-	}
-	return streams, nil
-}
-
 // RunFleet routes n paper streams through the fleet engine on the given
 // worker pool. The per-stream traces are byte-identical to serial
 // Runner runs at the same derived seeds.

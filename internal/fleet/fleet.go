@@ -11,9 +11,8 @@
 // stream-step. The paper's Quality Manager was built for exactly this
 // reuse:
 // core.Manager decisions are deterministic functions of (state, time)
-// over immutable pre-computed tables (memoized further by the regions
-// DecisionPlan), so one compiled controller.Bundle can drive
-// arbitrarily many concurrent streams without locks.
+// over immutable pre-computed tables, so one compiled controller.Bundle
+// can drive arbitrarily many concurrent streams without locks.
 //
 // The engine guarantees that scheduling changes wall-clock time, never
 // results: every stream is executed through the same sim.Stream path as

@@ -36,7 +36,6 @@ func benchDecide(b *testing.B, m core.Manager, rt *RelaxTables) {
 			times[i] = core.Time(uint64(i*2654435761) % uint64(max))
 		}
 	}
-	m.Decide(0, 0) // build the plan outside the timed region
 	b.ReportAllocs()
 	b.ResetTimer()
 	for k := 0; k < b.N; k++ {
@@ -48,30 +47,16 @@ func benchDecide(b *testing.B, m core.Manager, rt *RelaxTables) {
 
 var sinkDecision core.Decision // defeats dead-code elimination
 
-// E12a — the uncached relaxed decision: Choose binary search plus the
-// descending relaxation probe over three-level nested slices. This is
-// the per-decision baseline the plan cache is measured against.
-func BenchmarkDecideRelaxedUncached(b *testing.B) {
-	rt := benchTables(b)
-	benchDecide(b, NewRelaxedManagerUncached(rt), rt)
-}
-
-// E12b — the plan-cached relaxed decision: one binary search over the
-// state's contiguous slack-segment row, one indexed load. The ratio to
-// E12a is the decision-plan cache's isolated contribution to the fleet
-// ns/action budget.
-func BenchmarkDecideRelaxedCached(b *testing.B) {
+// E12a — the relaxed decision: the Choose binary search over the
+// state's tD row, then the descending probe of its contiguous ρ
+// interval run.
+func BenchmarkDecideRelaxed(b *testing.B) {
 	rt := benchTables(b)
 	benchDecide(b, NewRelaxedManager(rt), rt)
 }
 
-// E12c/E12d — the same pair for the pure symbolic manager.
-func BenchmarkDecideSymbolicUncached(b *testing.B) {
-	rt := benchTables(b)
-	benchDecide(b, NewSymbolicManagerUncached(rt.TDTable()), rt)
-}
-
-func BenchmarkDecideSymbolicCached(b *testing.B) {
+// E12b — the symbolic decision: the Choose binary search alone.
+func BenchmarkDecideSymbolic(b *testing.B) {
 	rt := benchTables(b)
 	benchDecide(b, NewSymbolicManager(rt.TDTable()), rt)
 }

@@ -7,31 +7,17 @@ import (
 // SymbolicManager is the quality-region Quality Manager of §4.1: at each
 // state it picks the quality from the pre-computed tD table
 // (Proposition 2), replacing the numeric manager's O(n−i) policy
-// evaluation per level with a handful of table reads. It still runs
-// before every action (Steps = 1).
-//
-// In steady state it answers from the table's DecisionPlan — the
-// memoized piecewise-constant decision function, built lazily on first
-// use and shared read-only across every manager (and therefore every
-// fleet stream) over the same table. The memo reproduces the uncached
-// probe sequence's Work exactly, so overhead accounting and traces are
-// byte-identical to the uncached path (property-tested).
+// evaluation per level with a handful of table reads — a binary search
+// over the state's contiguous row of |Q| entries. It still runs before
+// every action (Steps = 1). The table is immutable, so one table drives
+// any number of managers (and therefore fleet streams) without locks.
 type SymbolicManager struct {
-	tab      *TDTable
-	uncached bool
+	tab *TDTable
 }
 
 // NewSymbolicManager builds the quality-region manager from a tD table.
 func NewSymbolicManager(tab *TDTable) *SymbolicManager {
 	return &SymbolicManager{tab: tab}
-}
-
-// NewSymbolicManagerUncached builds a manager that re-runs the Choose
-// binary search on every call instead of consulting the decision plan:
-// the executable specification the cached manager is property-tested
-// against, and the baseline its speedup is benchmarked against.
-func NewSymbolicManagerUncached(tab *TDTable) *SymbolicManager {
-	return &SymbolicManager{tab: tab, uncached: true}
 }
 
 // Name implements core.Manager.
@@ -40,13 +26,12 @@ func (m *SymbolicManager) Name() string { return "symbolic" }
 // Table exposes the underlying tD table (for diagnostics and plots).
 func (m *SymbolicManager) Table() *TDTable { return m.tab }
 
-// Decide implements core.Manager.
+// Decide implements core.Manager. Work is the number of table probes.
+//
+//detlint:hotpath
 func (m *SymbolicManager) Decide(i int, t core.Time) core.Decision {
-	if m.uncached {
-		q, work := m.tab.Choose(i, t)
-		return core.Decision{Q: q, Steps: 1, Work: work}
-	}
-	return m.tab.Plan().Decide(i, t)
+	q, work := m.tab.Choose(i, t)
+	return core.Decision{Q: q, Steps: 1, Work: work}
 }
 
 // RelaxedManager is the control-relaxation Quality Manager of §4.1: it
@@ -56,27 +41,14 @@ func (m *SymbolicManager) Decide(i int, t core.Time) core.Decision {
 // (Decision.Steps = r). Relaxation is conservative: the skipped
 // invocations would have chosen the same quality (Proposition 3), which
 // the cross-manager equivalence tests verify.
-//
-// Like the symbolic manager it answers from a lazily built, shared
-// DecisionPlan; the plan folds the quality choice and the relaxation
-// grant into one lookup while preserving the uncached Work accounting.
 type RelaxedManager struct {
-	tab      *TDTable
-	relax    *RelaxTables
-	uncached bool
+	tab   *TDTable
+	relax *RelaxTables
 }
 
 // NewRelaxedManager builds the control-relaxation manager.
 func NewRelaxedManager(relax *RelaxTables) *RelaxedManager {
 	return &RelaxedManager{tab: relax.TDTable(), relax: relax}
-}
-
-// NewRelaxedManagerUncached builds a manager that probes the tD and
-// relaxation tables on every call instead of consulting the decision
-// plan: the executable specification the cached manager is
-// property-tested against, and the benchmark baseline.
-func NewRelaxedManagerUncached(relax *RelaxTables) *RelaxedManager {
-	return &RelaxedManager{tab: relax.TDTable(), relax: relax, uncached: true}
 }
 
 // Name implements core.Manager.
@@ -85,12 +57,13 @@ func (m *RelaxedManager) Name() string { return "relaxed" }
 // Tables exposes the relaxation tables (for diagnostics and plots).
 func (m *RelaxedManager) Tables() *RelaxTables { return m.relax }
 
-// Decide implements core.Manager.
+// Decide implements core.Manager: the Choose binary search, then the
+// descending probe of the state's ρ intervals. Work counts the tD probes
+// plus two per interval probed (each reads both bounds).
+//
+//detlint:hotpath
 func (m *RelaxedManager) Decide(i int, t core.Time) core.Decision {
-	if m.uncached {
-		q, work := m.tab.Choose(i, t)
-		r, w2 := m.relax.Steps(i, t, q)
-		return core.Decision{Q: q, Steps: r, Work: work + 2*w2}
-	}
-	return m.relax.Plan().Decide(i, t)
+	q, work := m.tab.Choose(i, t)
+	r, w2 := m.relax.Steps(i, t, q)
+	return core.Decision{Q: q, Steps: r, Work: work + 2*w2}
 }

@@ -93,15 +93,16 @@ type relaxTablesJSON struct {
 	Lower   [][][]int64 `json:"lower"`
 }
 
-// WriteTo serialises the relaxation tables as JSON.
+// WriteTo serialises the relaxation tables as JSON. The wire format
+// stays [level][rho][state] (the pre-flattening layout), byte for byte:
+// bundle hashes, which checkpoints record, are taken over these bytes.
 func (rt *RelaxTables) WriteTo(w io.Writer) (int64, error) {
-	sys := rt.td.sys
 	j := relaxTablesJSON{
-		Actions: sys.NumActions(),
-		Levels:  sys.NumLevels(),
+		Actions: rt.td.sys.NumActions(),
+		Levels:  rt.td.nq,
 		Rho:     rt.rho,
-		Upper:   encode3(rt.upper),
-		Lower:   encode3(rt.lower),
+		Upper:   rt.encode(1),
+		Lower:   rt.encode(0),
 	}
 	cw := &countWriter{w: w}
 	err := json.NewEncoder(cw).Encode(j)
@@ -109,7 +110,8 @@ func (rt *RelaxTables) WriteTo(w io.Writer) (int64, error) {
 }
 
 // LoadRelaxTables deserialises relaxation tables written with WriteTo and
-// re-binds them to td, verifying dimensions.
+// re-binds them to td, verifying dimensions, the step set and the
+// structural invariants.
 func LoadRelaxTables(r io.Reader, td *TDTable) (*RelaxTables, error) {
 	var j relaxTablesJSON
 	if err := json.NewDecoder(r).Decode(&j); err != nil {
@@ -120,25 +122,38 @@ func LoadRelaxTables(r io.Reader, td *TDTable) (*RelaxTables, error) {
 		return nil, fmt.Errorf("regions: tables are %d×%d, system is %d×%d",
 			j.Actions, j.Levels, sys.NumActions(), sys.NumLevels())
 	}
-	upper, err := decode3(j.Upper, j.Levels, len(j.Rho), j.Actions)
-	if err != nil {
+	if err := checkRho(j.Rho); err != nil {
 		return nil, err
 	}
-	lower, err := decode3(j.Lower, j.Levels, len(j.Rho), j.Actions)
-	if err != nil {
+	// Check both payloads' shapes before allocating, so the slab is
+	// never larger than the payload that fills it.
+	for _, t := range [][][][]int64{j.Lower, j.Upper} {
+		if err := checkWire(t, j.Levels, len(j.Rho), j.Actions); err != nil {
+			return nil, err
+		}
+	}
+	rt := allocRelaxTables(td, j.Rho)
+	rt.decode(0, j.Lower)
+	rt.decode(1, j.Upper)
+	// Steps trusts the intervals to be nested inside R_q and empty near
+	// the cycle end; a hand-edited or corrupt bundle must fail here.
+	if err := rt.Validate(); err != nil {
 		return nil, err
 	}
-	return &RelaxTables{td: td, rho: j.Rho, upper: upper, lower: lower}, nil
+	return rt, nil
 }
 
-func encode3(t [][][]core.Time) [][][]int64 {
-	out := make([][][]int64, len(t))
-	for q := range t {
-		out[q] = make([][]int64, len(t[q]))
-		for ri := range t[q] {
-			row := make([]int64, len(t[q][ri]))
-			for i, v := range t[q][ri] {
-				row[i] = int64(v)
+// encode extracts one bound (side 0 lower, 1 upper) in the
+// [level][rho][state] wire layout.
+func (rt *RelaxTables) encode(side int) [][][]int64 {
+	n := rt.td.sys.NumActions()
+	out := make([][][]int64, rt.td.nq)
+	for q := range out {
+		out[q] = make([][]int64, len(rt.rho))
+		for ri := range out[q] {
+			row := make([]int64, n)
+			for i := range row {
+				row[i] = int64(rt.iv[rt.at(i, core.Level(q), ri)+side])
 			}
 			out[q][ri] = row
 		}
@@ -146,26 +161,32 @@ func encode3(t [][][]core.Time) [][][]int64 {
 	return out
 }
 
-func decode3(t [][][]int64, nq, nrho, n int) ([][][]core.Time, error) {
+// checkWire checks a wire-layout bound against the tables' dimensions.
+func checkWire(t [][][]int64, nq, nrho, n int) error {
 	if len(t) != nq {
-		return nil, fmt.Errorf("regions: %d levels in payload, want %d", len(t), nq)
+		return fmt.Errorf("regions: %d levels in payload, want %d", len(t), nq)
 	}
-	out := make([][][]core.Time, nq)
-	for q := range t {
-		if len(t[q]) != nrho {
-			return nil, fmt.Errorf("regions: level %d has %d rho rows, want %d", q, len(t[q]), nrho)
+	for q, rows := range t {
+		if len(rows) != nrho {
+			return fmt.Errorf("regions: level %d has %d rho rows, want %d", q, len(rows), nrho)
 		}
-		out[q] = make([][]core.Time, nrho)
-		for ri := range t[q] {
-			if len(t[q][ri]) != n {
-				return nil, fmt.Errorf("regions: level %d rho %d has %d states, want %d", q, ri, len(t[q][ri]), n)
+		for ri, row := range rows {
+			if len(row) != n {
+				return fmt.Errorf("regions: level %d rho %d has %d states, want %d", q, ri, len(row), n)
 			}
-			row := make([]core.Time, n)
-			for i, v := range t[q][ri] {
-				row[i] = core.Time(v)
-			}
-			out[q][ri] = row
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// decode stores one bound (side 0 lower, 1 upper) from a wire layout
+// that checkWire accepted.
+func (rt *RelaxTables) decode(side int, t [][][]int64) {
+	for q, rows := range t {
+		for ri, row := range rows {
+			for i, v := range row {
+				rt.iv[rt.at(i, core.Level(q), ri)+side] = core.Time(v)
+			}
+		}
+	}
 }

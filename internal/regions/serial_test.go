@@ -71,6 +71,52 @@ func TestLoadRelaxTablesRejectsMismatch(t *testing.T) {
 	if _, err := LoadRelaxTables(strings.NewReader(mangled), tab); err == nil {
 		t.Fatal("inconsistent rho accepted")
 	}
+	// Right shape, but a step set BuildRelaxTables refuses: a zero step
+	// would grant Steps = 0, unsorted or repeated steps break the
+	// descending probe, and without 1 no grant is guaranteed.
+	for _, rho := range []string{`[0,2]`, `[2,1]`, `[1,1]`, `[2,3]`} {
+		mangled := strings.Replace(buf.String(), `"rho":[1,2]`, `"rho":`+rho, 1)
+		if _, err := LoadRelaxTables(strings.NewReader(mangled), tab); err == nil {
+			t.Errorf("rho %s accepted", rho)
+		}
+	}
+}
+
+// TestLoadRelaxTablesRejectsInvalidIntervals: Steps trusts the loaded
+// intervals, so a payload that breaks R^r_q ⊆ R_q or grants r steps
+// where fewer than r actions remain must be rejected at load time.
+func TestLoadRelaxTablesRejectsInvalidIntervals(t *testing.T) {
+	sys := randSys(41, core.RandomSystemConfig{Actions: 22, DeadlineEvery: 6})
+	tab := BuildTDTable(sys)
+	var buf bytes.Buffer
+	if _, err := MustBuildRelaxTables(tab, []int{1, 2}).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	n := sys.NumActions()
+	if tab.TD(0, 0).IsInf() {
+		t.Fatal("fixture needs a finite tD(s_0, q0)")
+	}
+	var j relaxTablesJSON
+	for _, c := range []struct {
+		name   string
+		mutate func()
+	}{
+		{"upper above R_q", func() { j.Upper[0][1][0] = int64(tab.TD(0, 0)) + 1 }},
+		{"grant past the end", func() { j.Upper[0][1][n-1], j.Lower[0][1][n-1] = 0, -1 }},
+	} {
+		j = relaxTablesJSON{}
+		if err := json.Unmarshal(buf.Bytes(), &j); err != nil {
+			t.Fatal(err)
+		}
+		c.mutate()
+		mangled, err := json.Marshal(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadRelaxTables(bytes.NewReader(mangled), tab); err == nil {
+			t.Errorf("%s: invalid intervals accepted", c.name)
+		}
+	}
 }
 
 // TestLoadTDTableRejectsNonMonotone: the binary-search Choose is only

@@ -11,7 +11,6 @@ package regions
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 )
@@ -27,9 +26,6 @@ type TDTable struct {
 	sys *core.System
 	nq  int
 	td  []core.Time // td[i*nq+q], i in [0, n]
-
-	planOnce sync.Once
-	plan     *DecisionPlan // lazily memoized decision procedure; see plan.go
 }
 
 // Sys returns the system the table was built for.
@@ -144,6 +140,8 @@ func (t *TDTable) InRegion(i int, tm core.Time, q core.Level) bool {
 // form a prefix of [0, qmax] and Choose binary-searches the contiguous
 // row for its upper border in O(log |Q|) probes of one cache line.
 // work reports the number of table probes spent.
+//
+//detlint:hotpath
 func (t *TDTable) Choose(i int, tm core.Time) (q core.Level, work int) {
 	row := t.td[i*t.nq : (i+1)*t.nq]
 	lo, hi := 0, len(row)-1
